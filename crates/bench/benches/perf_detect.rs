@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use anomex_detect::interval::IntervalStat;
+use anomex_detect::interval::{IntervalStat, SummarySpec};
 use anomex_detect::kl::{KlConfig, KlOnline};
 use anomex_detect::pca::{PcaConfig, PcaMode, PcaSliding};
 use anomex_detect::threshold::ThresholdMode;
@@ -27,21 +27,28 @@ use serde::Value;
 
 const WIDTH_MS: u64 = 60_000;
 
+/// The records behind the synthetic summaries: none. KL still scores
+/// every interval from its bin counts; an alarm just names no values.
+const NO_RECORDS: &[anomex_flow::record::FlowRecord] = &[];
+
 /// Deterministic synthetic interval summaries: enough distribution
 /// structure that histograms and entropies do real work, light enough
-/// that the model update dominates the measurement.
+/// that the model update dominates the measurement. Each keeps what the
+/// pipeline keeps for a KL+PCA bank: KL's bin counts (what the KL rows
+/// measure) plus the exact distributions PCA's entropies read.
 fn synth_series(n: usize, seed: u64) -> Vec<IntervalStat> {
     let mut rng = Xoshiro256::seeded(seed);
+    let spec = KlConfig::default().summary().union(SummarySpec::EXACT);
     (0..n)
         .map(|t| {
             let range = TimeRange::window_at(t as u64, 0, WIDTH_MS);
-            let mut stat = IntervalStat::empty(range);
+            let mut stat = IntervalStat::new(range, spec);
             stat.flows = 180 + rng.next_below(60);
             stat.packets = stat.flows * (2 + rng.next_below(5));
             stat.bytes = stat.packets * (400 + rng.next_below(800));
-            for dist in &mut stat.dists {
+            for feature in 0..4 {
                 for _ in 0..64 {
-                    dist.add(rng.next_below(4_096) as u32, 1 + rng.next_below(40));
+                    stat.add_value(feature, rng.next_below(4_096) as u32, 1 + rng.next_below(40));
                 }
             }
             stat
@@ -115,12 +122,13 @@ fn main() {
     // --- Incremental detectors, steady state. -------------------------
     let kl_config = KlConfig { interval_ms: WIDTH_MS, ..KlConfig::default() };
     let mut kl = KlOnline::new(kl_config);
-    let stats = per_interval_ns(|s| drop(black_box(kl.push(s))), &series, chunk, reps);
+    let stats = per_interval_ns(|s| drop(black_box(kl.push(s, &NO_RECORDS))), &series, chunk, reps);
     rows.push(row("kl/welford", &stats));
     results.push(json_entry("kl/welford", &stats));
 
     let mut kl_exact = KlOnline::new(KlConfig { threshold: ThresholdMode::Exact, ..kl_config });
-    let stats = per_interval_ns(|s| drop(black_box(kl_exact.push(s))), &series, chunk, reps);
+    let stats =
+        per_interval_ns(|s| drop(black_box(kl_exact.push(s, &NO_RECORDS))), &series, chunk, reps);
     rows.push(row("kl/exact", &stats));
     results.push(json_entry("kl/exact", &stats));
 
@@ -133,7 +141,8 @@ fn main() {
     // --- Ensemble overhead: KL alone vs KL + PCA in one bank. ---------
     let solo = DetectorRegistry::kl(kl_config);
     let mut solo_bank = solo.build_bank();
-    let solo_stats = per_interval_ns(|s| drop(black_box(solo_bank.push(s))), &series, chunk, reps);
+    let solo_stats =
+        per_interval_ns(|s| drop(black_box(solo_bank.push(s, &NO_RECORDS))), &series, chunk, reps);
     rows.push(row("bank/kl", &solo_stats));
     results.push(json_entry("bank/kl", &solo_stats));
 
@@ -142,7 +151,8 @@ fn main() {
         DetectorSpec::Pca(pca_config, 64),
     ]);
     let mut duo_bank = duo.build_bank();
-    let duo_stats = per_interval_ns(|s| drop(black_box(duo_bank.push(s))), &series, chunk, reps);
+    let duo_stats =
+        per_interval_ns(|s| drop(black_box(duo_bank.push(s, &NO_RECORDS))), &series, chunk, reps);
     rows.push(row("bank/kl+pca", &duo_stats));
     results.push(json_entry("bank/kl+pca", &duo_stats));
     let ensemble_overhead = duo_stats.median / solo_stats.median.max(1.0);

@@ -16,8 +16,10 @@
 //! "can be integrated with any anomaly detection system" premise as a
 //! compiler-checked interface.
 
+use anomex_flow::record::FlowRecord;
+
 use crate::alarm::Alarm;
-use crate::interval::{IntervalSeries, IntervalStat};
+use crate::interval::{IntervalRecords, IntervalSeries, IntervalStat, SummarySpec};
 
 /// One incremental anomaly detector: intervals in, alarms out.
 ///
@@ -26,6 +28,11 @@ use crate::interval::{IntervalSeries, IntervalStat};
 /// Intervals must arrive in time order, gaps fed as empty
 /// [`IntervalStat`]s (what `IntervalSeries::cut` produces for quiet
 /// intervals).
+///
+/// A detector reads the window summary it declares
+/// ([`summary`](Detector::summary)); the records behind the summary
+/// are passed alongside for detectors that name concrete values on
+/// alarm.
 pub trait Detector: Send {
     /// Stable detector name, used for alarm attribution ("kl",
     /// "entropy-pca", …).
@@ -34,14 +41,31 @@ pub trait Detector: Send {
     /// The detection-interval width this state expects, milliseconds.
     fn interval_ms(&self) -> u64;
 
-    /// Feed the next closed interval; returns the alarms it raised
-    /// (usually zero or one).
-    fn push(&mut self, stat: &IntervalStat) -> Vec<Alarm>;
+    /// The interval summary this state reads. A pipeline keeps the
+    /// [`union`](SummarySpec::union) over its detectors, so declaring
+    /// less makes every record cheaper to account. The default is
+    /// [`SummarySpec::default`]: default-resolution bins plus the exact
+    /// distributions, everything the built-in detectors read at their
+    /// default settings.
+    fn summary(&self) -> SummarySpec {
+        SummarySpec::default()
+    }
+
+    /// Feed the next closed interval and its records; returns the
+    /// alarms it raised (usually zero or one).
+    fn push(&mut self, stat: &IntervalStat, records: &dyn IntervalRecords) -> Vec<Alarm>;
 
     /// Batch detection as a driver over the incremental state: feed
-    /// every interval of `series` in order, collect every alarm.
-    fn detect_series(&mut self, series: &IntervalSeries) -> Vec<Alarm> {
-        series.intervals.iter().flat_map(|stat| self.push(stat)).collect()
+    /// every interval of `series` (cut from `flows`) in order, collect
+    /// every alarm.
+    fn detect_series(&mut self, series: &IntervalSeries, flows: &[FlowRecord]) -> Vec<Alarm> {
+        let records = series.records(flows);
+        series
+            .intervals
+            .iter()
+            .enumerate()
+            .flat_map(|(t, stat)| self.push(stat, &records.interval(t)))
+            .collect()
     }
 }
 
@@ -65,7 +89,7 @@ mod tests {
             1_000
         }
 
-        fn push(&mut self, stat: &IntervalStat) -> Vec<Alarm> {
+        fn push(&mut self, stat: &IntervalStat, _records: &dyn IntervalRecords) -> Vec<Alarm> {
             if stat.flows >= self.limit {
                 let alarm = Alarm::new(self.next_id, self.name(), stat.range);
                 self.next_id += 1;
@@ -85,7 +109,7 @@ mod tests {
             stat.flows = t; // 0, 1, 2, 3 flows
             series.intervals.push(stat);
         }
-        let alarms = det.detect_series(&series);
+        let alarms = det.detect_series(&series, &[]);
         assert_eq!(alarms.len(), 2);
         assert_eq!(alarms[0].window.from_ms, 2_000);
         assert_eq!(alarms[1].window.from_ms, 3_000);
@@ -98,5 +122,6 @@ mod tests {
         let boxed: Box<dyn Detector + Send> = Box::new(FlowCountDetector { limit: 1, next_id: 0 });
         assert_eq!(boxed.name(), "flow-count");
         assert_eq!(boxed.interval_ms(), 1_000);
+        assert_eq!(boxed.summary(), SummarySpec::default(), "undeclared reads get everything");
     }
 }

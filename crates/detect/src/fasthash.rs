@@ -1,14 +1,15 @@
-//! A minimal multiply-mix hasher for the per-record hot path.
+//! A minimal multiply-mix hasher for small counting maps.
 //!
-//! [`ValueDist`](crate::interval::ValueDist) performs four hash-map
-//! entry operations per ingested flow record; with the default SipHash
-//! those four hashes are the single largest per-record cost in the
-//! streaming windowing layer. Feature values are plain `u32`s under no
-//! adversarial control worth paying SipHash for (a flood of colliding
-//! feature values is itself the anomaly the pipeline exists to
-//! report), so distributions use this FxHash-style multiply-mix
-//! instead: one multiply plus an xorshift finalizer, ~5 ns per
-//! operation.
+//! Its users are the exact [`ValueDist`](crate::interval::ValueDist)
+//! maps — four entry operations per record, kept only when an entropy
+//! detector is registered (KL-only pipelines count records into fixed
+//! bins and hash nothing) — and the per-alarm value counts KL builds
+//! when it names the values inside its flagged bins. Feature values
+//! are plain `u32`s under no adversarial control worth paying SipHash
+//! for (a flood of colliding feature values is itself the anomaly the
+//! pipeline exists to report), so these maps use this FxHash-style
+//! multiply-mix instead: one multiply plus an xorshift finalizer,
+//! ~5 ns per operation.
 //!
 //! Not DoS-hardened — keep it for small-key counting maps on hot
 //! paths, not for maps keyed by attacker-supplied byte strings.

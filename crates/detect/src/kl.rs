@@ -4,12 +4,17 @@
 //! detector [3] using the Kullback-Leibler (KL) distance").
 //!
 //! Per feature and per interval, flow counts are hashed into a fixed
-//! number of histogram bins. The current interval's histogram is compared
+//! number of histogram bins — the interval summary keeps exactly these
+//! bin counts ([`IntervalStat::bin_counts`]), so the detector never
+//! walks per-value state. The current interval's histogram is compared
 //! to a baseline averaged over a sliding window of preceding intervals;
 //! the KL distance time series gets an adaptive threshold
 //! (mean + `sigma` · std over the training window). On alarm, the bins
 //! with the largest positive KL contribution are traced back to the
-//! concrete feature values inside them — the alarm's meta-data.
+//! concrete feature values inside them — the alarm's meta-data — in one
+//! pass over the interval's records.
+
+use std::collections::HashMap;
 
 use anomex_flow::feature::{Feature, FeatureItem, FeatureValue};
 use anomex_flow::record::FlowRecord;
@@ -17,7 +22,11 @@ use anomex_flow::store::TimeRange;
 
 use crate::alarm::Alarm;
 use crate::detector::Detector;
-use crate::interval::{IntervalSeries, IntervalStat, ValueDist};
+use crate::fasthash::FxBuildHasher;
+use crate::interval::{
+    bin_of, mining_values, IntervalRecords, IntervalSeries, IntervalStat, SummarySpec,
+    DEFAULT_BINS_LOG2, MAX_BINS_LOG2,
+};
 use crate::threshold::{ThresholdMode, ThresholdState};
 
 /// KL detector configuration.
@@ -48,7 +57,7 @@ impl Default for KlConfig {
     fn default() -> Self {
         KlConfig {
             interval_ms: 5 * 60 * 1000,
-            bins_log2: 7,
+            bins_log2: DEFAULT_BINS_LOG2,
             window: 6,
             min_training: 3,
             sigma: 3.0,
@@ -56,6 +65,14 @@ impl Default for KlConfig {
             hints_per_feature: 3,
             threshold: ThresholdMode::default(),
         }
+    }
+}
+
+impl KlConfig {
+    /// The interval summary this configuration reads: its bin counts,
+    /// no exact distributions.
+    pub fn summary(&self) -> SummarySpec {
+        SummarySpec::bins(self.bins_log2)
     }
 }
 
@@ -80,7 +97,7 @@ pub struct KlScore {
 impl KlDetector {
     /// Detector with the given configuration.
     pub fn new(config: KlConfig) -> KlDetector {
-        assert!(config.bins_log2 >= 2 && config.bins_log2 <= 16, "bins_log2 out of range");
+        assert!((2..=MAX_BINS_LOG2).contains(&config.bins_log2), "bins_log2 out of range");
         assert!(config.window >= 1, "baseline window must be >= 1");
         KlDetector { config, next_id: 0 }
     }
@@ -100,19 +117,26 @@ impl KlDetector {
     /// Returns one alarm per flagged interval, meta-data merged across
     /// flagged features. Intervals before `min_training` never alarm.
     pub fn detect(&mut self, flows: &[FlowRecord], span: TimeRange) -> Vec<Alarm> {
-        let series = IntervalSeries::cut(flows, span, self.config.interval_ms);
-        self.detect_series(&series)
+        let series =
+            IntervalSeries::cut_with(flows, span, self.config.interval_ms, self.config.summary());
+        self.detect_series(&series, flows)
     }
 
-    /// Run detection over a pre-cut series (shared with benchmarks).
+    /// Run detection over a series pre-cut from `flows` (shared with
+    /// benchmarks); alarm hints are recovered from `flows`.
     ///
     /// Equivalent to feeding every interval through [`KlOnline::push`];
     /// this delegation is what guarantees the streaming pipeline and
     /// the batch pipeline agree alarm-for-alarm.
-    pub fn detect_series(&mut self, series: &IntervalSeries) -> Vec<Alarm> {
+    pub fn detect_series(&mut self, series: &IntervalSeries, flows: &[FlowRecord]) -> Vec<Alarm> {
         let mut online = KlOnline::with_start_id(self.config, self.next_id);
-        let alarms =
-            series.intervals.iter().filter_map(|stat| online.push(stat)).collect::<Vec<_>>();
+        let records = series.records(flows);
+        let alarms = series
+            .intervals
+            .iter()
+            .enumerate()
+            .filter_map(|(t, stat)| online.push(stat, &records.interval(t)))
+            .collect::<Vec<_>>();
         self.next_id = online.next_id();
         alarms
     }
@@ -122,7 +146,9 @@ impl KlDetector {
 /// out, no re-scan of history.
 ///
 /// Keeps the last `window` interval histograms (the sliding baseline)
-/// plus a [`ThresholdState`] per feature for the adaptive threshold. In
+/// plus a [`ThresholdState`] per feature for the adaptive threshold.
+/// Histograms come from the summary's bin counts, folded down when the
+/// summary keeps a finer resolution than `bins_log2`. In
 /// the default [`ThresholdMode::Welford`] the whole state is a few KiB
 /// per detector regardless of how long the stream runs;
 /// [`ThresholdMode::Exact`] instead retains every un-alarmed KL score
@@ -149,7 +175,7 @@ impl KlOnline {
 
     /// Fresh online state whose first alarm takes id `next_id`.
     pub fn with_start_id(config: KlConfig, next_id: u64) -> KlOnline {
-        assert!(config.bins_log2 >= 2 && config.bins_log2 <= 16, "bins_log2 out of range");
+        assert!((2..=MAX_BINS_LOG2).contains(&config.bins_log2), "bins_log2 out of range");
         assert!(config.window >= 1, "baseline window must be >= 1");
         KlOnline {
             config,
@@ -179,18 +205,18 @@ impl KlOnline {
     }
 
     /// Feed the next closed interval; returns an alarm if it deviates.
+    /// `records` are the interval's records: read only on alarm, to
+    /// name the concrete values inside the flagged bins.
     ///
     /// Intervals must arrive in time order; gaps must be fed as empty
     /// [`IntervalStat`]s (exactly what [`IntervalSeries::cut`] produces
     /// for quiet intervals), or the adaptive threshold sees a different
     /// history than the batch detector would.
-    pub fn push(&mut self, stat: &IntervalStat) -> Option<Alarm> {
-        let hist: [Vec<f64>; 4] = [
-            histogram(&stat.dists[0], self.bins),
-            histogram(&stat.dists[1], self.bins),
-            histogram(&stat.dists[2], self.bins),
-            histogram(&stat.dists[3], self.bins),
-        ];
+    ///
+    /// # Panics
+    /// Panics if `stat` keeps fewer bin bits than `bins_log2`.
+    pub fn push(&mut self, stat: &IntervalStat, records: &dyn IntervalRecords) -> Option<Alarm> {
+        let hist: [Vec<f64>; 4] = std::array::from_fn(|f| stat.histogram(f, self.config.bins_log2));
         let baselines: [Vec<f64>; 4] = std::array::from_fn(|f| self.baseline(f));
 
         let result = if self.t < self.config.min_training {
@@ -223,17 +249,15 @@ impl KlOnline {
                 // Meta-data: top contributing values of every flagged
                 // feature. Alarmed intervals do not pollute the threshold
                 // history (shield the baseline from contamination).
-                let mut hints = Vec::new();
-                for score in &flagged {
-                    let f = Feature::MINING.iter().position(|&x| x == score.feature).unwrap();
-                    hints.extend(top_deviating_values(
-                        &stat.dists[f],
-                        &hist[f],
-                        &baselines[f],
-                        score.feature,
-                        self.config.hints_per_feature,
-                    ));
-                }
+                let max = self.config.hints_per_feature;
+                let flagged_bins: Vec<(usize, Vec<usize>)> = flagged
+                    .iter()
+                    .map(|score| {
+                        let f = Feature::MINING.iter().position(|&x| x == score.feature).unwrap();
+                        (f, top_deviating_bins(&hist[f], &baselines[f], max))
+                    })
+                    .collect();
+                let hints = values_in_bins(records, &flagged_bins, self.config.bins_log2, max);
                 let worst = flagged
                     .iter()
                     .cloned()
@@ -283,31 +307,13 @@ impl Detector for KlOnline {
         self.config.interval_ms
     }
 
-    fn push(&mut self, stat: &IntervalStat) -> Vec<Alarm> {
-        KlOnline::push(self, stat).into_iter().collect()
+    fn summary(&self) -> SummarySpec {
+        self.config.summary()
     }
-}
 
-/// Multiply-shift hash of a feature value into `bins` (power of two).
-#[inline]
-fn bin_of(value: u32, bins: usize) -> usize {
-    let h = value.wrapping_mul(0x9E37_79B1);
-    (h >> (32 - bins.trailing_zeros())) as usize
-}
-
-/// Normalized histogram of a value distribution.
-fn histogram(dist: &ValueDist, bins: usize) -> Vec<f64> {
-    let mut h = vec![0.0f64; bins];
-    for (value, count) in dist.iter() {
-        h[bin_of(value, bins)] += count as f64;
+    fn push(&mut self, stat: &IntervalStat, records: &dyn IntervalRecords) -> Vec<Alarm> {
+        KlOnline::push(self, stat, records).into_iter().collect()
     }
-    let total: f64 = h.iter().sum();
-    if total > 0.0 {
-        for x in &mut h {
-            *x /= total;
-        }
-    }
-    h
 }
 
 /// `KL(p || q)` in bits, with the baseline mixed toward uniform so empty
@@ -326,15 +332,9 @@ fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
     kl.max(0.0)
 }
 
-/// Values of the current interval that land in the bins with the largest
-/// positive KL contribution.
-fn top_deviating_values(
-    dist: &ValueDist,
-    current: &[f64],
-    baseline: &[f64],
-    feature: Feature,
-    max: usize,
-) -> Vec<FeatureItem> {
+/// The (at most `max`) bins with the largest positive contribution to
+/// `KL(current || baseline)`, largest first.
+fn top_deviating_bins(current: &[f64], baseline: &[f64], max: usize) -> Vec<usize> {
     let bins = current.len();
     let uniform = 1.0 / bins as f64;
     // Score each bin by its contribution to the divergence.
@@ -351,20 +351,43 @@ fn top_deviating_values(
         .collect();
     contributions.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
     contributions.truncate(max);
+    contributions.into_iter().map(|(b, _)| b).collect()
+}
 
-    let flagged: Vec<usize> = contributions.iter().map(|&(b, _)| b).collect();
-    // Heaviest concrete values inside the flagged bins.
-    let mut candidates: Vec<(u32, u64)> =
-        dist.iter().filter(|&(v, _)| flagged.contains(&bin_of(v, bins))).collect();
-    candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    candidates.truncate(max);
-    candidates
-        .into_iter()
-        .filter_map(|(raw, _)| {
+/// The heaviest concrete values inside each flagged feature's bins
+/// (`(feature index, bins)` pairs at `bins_log2` resolution), counted
+/// in one pass over the interval's records: at most `max` per feature,
+/// by flow count descending then value ascending, features in
+/// `flagged` order.
+fn values_in_bins(
+    records: &dyn IntervalRecords,
+    flagged: &[(usize, Vec<usize>)],
+    bins_log2: u8,
+    max: usize,
+) -> Vec<FeatureItem> {
+    let mut counts: Vec<HashMap<u32, u64, FxBuildHasher>> =
+        flagged.iter().map(|_| HashMap::default()).collect();
+    records.for_each_record(&mut |r| {
+        let values = mining_values(r);
+        for ((f, bins), counts) in flagged.iter().zip(&mut counts) {
+            let value = values[*f];
+            if bins.contains(&bin_of(value, bins_log2)) {
+                *counts.entry(value).or_default() += 1;
+            }
+        }
+    });
+    let mut hints = Vec::new();
+    for ((f, _), counts) in flagged.iter().zip(counts) {
+        let feature = Feature::MINING[*f];
+        let mut candidates: Vec<(u32, u64)> = counts.into_iter().collect();
+        candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        candidates.truncate(max);
+        hints.extend(candidates.into_iter().filter_map(|(raw, _)| {
             let value = FeatureValue::from_raw(feature, raw)?;
             FeatureItem::checked(feature, value)
-        })
-        .collect()
+        }));
+    }
+    hints
 }
 
 /// Crude label guess from which features deviated.
@@ -509,9 +532,10 @@ mod tests {
         let mut online = KlOnline::new(config);
         let (flows, span) = trace(16, 60_000, false);
         let series = IntervalSeries::cut(&flows, span, 60_000);
+        let records = series.records(&flows);
         let mut sizes = Vec::new();
-        for stat in &series.intervals {
-            online.push(stat);
+        for (t, stat) in series.intervals.iter().enumerate() {
+            online.push(stat, &records.interval(t));
             sizes.push(online.retained_threshold_samples());
         }
         assert!(sizes.iter().all(|&s| s == 12), "O(1) threshold state violated: {sizes:?}");
@@ -527,8 +551,9 @@ mod tests {
         let mut online = KlOnline::new(config);
         let (flows, span) = trace(8, 60_000, false);
         let series = IntervalSeries::cut(&flows, span, 60_000);
-        for stat in &series.intervals {
-            online.push(stat);
+        let records = series.records(&flows);
+        for (t, stat) in series.intervals.iter().enumerate() {
+            online.push(stat, &records.interval(t));
         }
         // 7 un-alarmed post-warmup intervals recorded across 4 features
         // (interval 0 has no baseline and records nothing).
@@ -539,12 +564,17 @@ mod tests {
     fn exact_and_welford_agree_on_clear_signal() {
         let (flows, span) = trace(8, 60_000, true);
         let series = IntervalSeries::cut(&flows, span, 60_000);
+        let records = series.records(&flows);
         let mut alarms_by_mode = Vec::new();
         for mode in [ThresholdMode::Exact, ThresholdMode::Welford] {
             let config = KlConfig { interval_ms: 60_000, threshold: mode, ..KlConfig::default() };
             let mut online = KlOnline::new(config);
-            let alarms: Vec<Alarm> =
-                series.intervals.iter().filter_map(|stat| online.push(stat)).collect();
+            let alarms: Vec<Alarm> = series
+                .intervals
+                .iter()
+                .enumerate()
+                .filter_map(|(t, stat)| online.push(stat, &records.interval(t)))
+                .collect();
             alarms_by_mode.push(alarms);
         }
         assert_eq!(alarms_by_mode[0].len(), 1);
@@ -555,35 +585,71 @@ mod tests {
 
     #[test]
     fn histogram_is_normalized() {
-        let mut d = ValueDist::new();
-        d.add(1, 10);
-        d.add(999, 30);
-        let h = histogram(&d, 64);
+        let mut stat = IntervalStat::new(TimeRange::new(0, 1), SummarySpec::bins(6));
+        stat.add_value(0, 1, 10);
+        stat.add_value(0, 999, 30);
+        let h = stat.histogram(0, 6);
         assert!((h.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn bin_of_stays_in_range() {
         for bins_log2 in [2u8, 7, 10] {
-            let bins = 1usize << bins_log2;
             for v in [0u32, 1, 80, 65_535, u32::MAX] {
-                assert!(bin_of(v, bins) < bins);
+                assert!(bin_of(v, bins_log2) < 1 << bins_log2);
             }
         }
+    }
+
+    #[test]
+    fn alarm_names_the_heaviest_values_of_the_flagged_bins() {
+        let (flows, span) = trace(8, 60_000, true);
+        let series = IntervalSeries::cut_with(&flows, span, 60_000, SummarySpec::bins(7));
+        let records = series.records(&flows);
+        let mut online = KlOnline::new(KlConfig { interval_ms: 60_000, ..KlConfig::default() });
+        let alarms: Vec<Alarm> = series
+            .intervals
+            .iter()
+            .enumerate()
+            .filter_map(|(t, stat)| online.push(stat, &records.interval(t)))
+            .collect();
+        assert_eq!(alarms.len(), 1);
+        // Without the records the detector still decides, but names nothing.
+        let mut blind = KlOnline::new(KlConfig { interval_ms: 60_000, ..KlConfig::default() });
+        let no_records: &[FlowRecord] = &[];
+        let blind_alarms: Vec<Alarm> =
+            series.intervals.iter().filter_map(|stat| blind.push(stat, &no_records)).collect();
+        assert_eq!(blind_alarms.len(), 1);
+        assert!(blind_alarms[0].hints.is_empty());
+        assert_eq!(blind_alarms[0].score, alarms[0].score);
+        assert!(alarms[0].hints.contains(&FeatureItem::src_ip(ip("10.66.66.66"))));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a summary keeping")]
+    fn summary_coarser_than_the_detector_is_rejected() {
+        let mut online = KlOnline::new(KlConfig { bins_log2: 10, ..KlConfig::default() });
+        let no_records: &[FlowRecord] = &[];
+        online.push(&IntervalStat::new(TimeRange::new(0, 1), SummarySpec::bins(7)), &no_records);
     }
 
     #[test]
     fn online_push_equals_batch_detect() {
         let (flows, span) = trace(8, 60_000, true);
         let series = IntervalSeries::cut(&flows, span, 60_000);
+        let records = series.records(&flows);
         let config = KlConfig { interval_ms: 60_000, ..KlConfig::default() };
 
         let mut batch = KlDetector::new(config);
-        let batch_alarms = batch.detect_series(&series);
+        let batch_alarms = batch.detect_series(&series, &flows);
 
         let mut online = KlOnline::new(config);
-        let online_alarms: Vec<Alarm> =
-            series.intervals.iter().filter_map(|stat| online.push(stat)).collect();
+        let online_alarms: Vec<Alarm> = series
+            .intervals
+            .iter()
+            .enumerate()
+            .filter_map(|(t, stat)| online.push(stat, &records.interval(t)))
+            .collect();
 
         assert_eq!(batch_alarms, online_alarms);
         assert_eq!(online.intervals_seen(), series.len());

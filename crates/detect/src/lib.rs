@@ -3,8 +3,9 @@
 //! The two upstream anomaly detectors of the paper's evaluations, plus the
 //! alarm interface the extractor consumes.
 //!
-//! - [`interval`] — traces cut into fixed intervals with per-feature
-//!   value distributions and entropy.
+//! - [`interval`] — traces cut into fixed intervals, each summarized by
+//!   volumes plus what its detectors read: per-feature bin counts and,
+//!   for entropy, exact value distributions.
 //! - [`kl`] — the histogram/Kullback-Leibler detector of Kind et al.
 //!   (IEEE TNSM 2009), used in the paper's SWITCH evaluation.
 //! - [`linalg`] + [`pca`] — the entropy-PCA subspace method of Lakhina
@@ -63,7 +64,10 @@ pub mod threshold;
 pub mod prelude {
     pub use crate::alarm::{Alarm, Severity};
     pub use crate::detector::Detector;
-    pub use crate::interval::{IntervalSeries, IntervalStat, ValueDist};
+    pub use crate::interval::{
+        IntervalRecords, IntervalSeries, IntervalStat, SeriesInterval, SeriesRecords, SummarySpec,
+        ValueDist,
+    };
     pub use crate::kl::{KlConfig, KlDetector, KlOnline, KlScore};
     pub use crate::linalg::{jacobi_eigen, Matrix};
     pub use crate::pca::{PcaConfig, PcaDetector, PcaDiagnostics, PcaMode, PcaSliding, DIMS};

@@ -19,7 +19,7 @@ use anomex_flow::store::TimeRange;
 
 use crate::alarm::Alarm;
 use crate::detector::Detector;
-use crate::interval::{IntervalSeries, IntervalStat};
+use crate::interval::{IntervalRecords, IntervalSeries, IntervalStat, SummarySpec, ValueDist};
 use crate::linalg::{jacobi_eigen, Matrix};
 
 /// Number of observation dimensions: 4 entropies + 3 volumes.
@@ -94,7 +94,8 @@ impl PcaDetector {
 
     /// Run detection over `flows` within `span`.
     pub fn detect(&mut self, flows: &[FlowRecord], span: TimeRange) -> Vec<Alarm> {
-        let series = IntervalSeries::cut(flows, span, self.config.interval_ms);
+        let series =
+            IntervalSeries::cut_with(flows, span, self.config.interval_ms, SummarySpec::EXACT);
         self.detect_series(&series).0
     }
 
@@ -197,6 +198,11 @@ impl PcaDetector {
     }
 }
 
+/// The exact distributions PCA reads (entropy and hints).
+fn exact(stat: &IntervalStat) -> &[ValueDist; 4] {
+    stat.dists().expect("entropy-PCA needs a summary keeping the exact distributions")
+}
+
 /// Meta-data shared by the batch and sliding PCA paths: per deviating
 /// entropy dimension of `residual`, the values of `current` whose
 /// probability increased the most against `baseline`.
@@ -218,12 +224,12 @@ fn deviation_hints(
             break;
         }
         let feature = Feature::MINING[d];
-        let dist = &current.dists[d];
+        let dist = &exact(current)[d];
         let mut scored: Vec<(u32, f64)> = dist
             .iter()
             .map(|(v, c)| {
                 let p_now = c as f64 / dist.total().max(1) as f64;
-                let p_before = baseline.map(|b| b.dists[d].probability(v)).unwrap_or(0.0);
+                let p_before = baseline.map(|b| exact(b)[d].probability(v)).unwrap_or(0.0);
                 (v, p_now - p_before)
             })
             .filter(|&(_, delta)| delta > 0.0)
@@ -572,7 +578,11 @@ impl Detector for PcaSliding {
         self.config.interval_ms
     }
 
-    fn push(&mut self, stat: &IntervalStat) -> Vec<Alarm> {
+    fn summary(&self) -> SummarySpec {
+        SummarySpec::EXACT
+    }
+
+    fn push(&mut self, stat: &IntervalStat, _records: &dyn IntervalRecords) -> Vec<Alarm> {
         PcaSliding::push(self, stat).into_iter().collect()
     }
 }

@@ -13,6 +13,9 @@
 //! - [`DetectorRegistry`] — named builders, pre-populated from specs
 //!   and open to [`register`](DetectorRegistry::register)ed custom
 //!   detectors; lives in [`StreamConfig`](crate::pipeline::StreamConfig).
+//!   Every detector declares the window summary it reads
+//!   ([`Detector::summary`]); the shards keep their union and nothing
+//!   more.
 //! - [`DetectorBank`] — the live ensemble the control thread feeds:
 //!   every closed window goes to every detector, alarms on the same
 //!   window are merged into one [`EnsembleAlarm`] (one extraction per
@@ -30,7 +33,7 @@ use std::sync::Arc;
 
 use anomex_detect::alarm::Alarm;
 use anomex_detect::detector::Detector;
-use anomex_detect::interval::IntervalStat;
+use anomex_detect::interval::{IntervalRecords, IntervalStat, SummarySpec};
 use anomex_detect::kl::{KlConfig, KlOnline};
 use anomex_detect::pca::{PcaConfig, PcaSliding};
 use anomex_flow::store::TimeRange;
@@ -143,11 +146,17 @@ impl DetectorRegistry {
         self
     }
 
-    /// Register a custom detector under `name`: `build` is called once
-    /// per pipeline launch to create the incremental state. The name
+    /// Register a custom detector under `name`: `build` is called per
+    /// pipeline launch to create the incremental state (and whenever
+    /// the summary is asked for, see
+    /// [`summary`](DetectorRegistry::summary)). The name
     /// appears in alarm attribution and per-detector counters; it
     /// should match what the built states report from
     /// [`Detector::name`].
+    ///
+    /// The windows keep what the built state declares from
+    /// [`Detector::summary`] — by default everything the built-in
+    /// detectors read.
     ///
     /// # Panics
     /// Panics when `name` contains `'+'` — that is the merged-alarm
@@ -199,6 +208,14 @@ impl DetectorRegistry {
             );
         }
         first
+    }
+
+    /// The window summary the bank reads: the union of what every
+    /// entry's state declares ([`Detector::summary`]), asked of one
+    /// freshly built state per entry. The default KL-only registry
+    /// reads bin counts alone, so its shards keep no per-value maps.
+    pub fn summary(&self) -> SummarySpec {
+        self.entries.iter().fold(SummarySpec::VOLUMES, |acc, e| acc.union((e.build)().summary()))
     }
 
     /// Build the live bank the control thread feeds.
@@ -303,10 +320,10 @@ struct BankSlot {
 /// Run one bank member over a window summary: count the window, time
 /// the push, count the alarms. Shared verbatim by the sequential bank
 /// and the pool workers so both paths meter identically.
-fn run_slot(slot: &mut BankSlot, stat: &IntervalStat) -> Vec<Alarm> {
+fn run_slot(slot: &mut BankSlot, stat: &IntervalStat, records: &dyn IntervalRecords) -> Vec<Alarm> {
     slot.instruments.windows.inc();
     let state = &mut slot.state;
-    let alarms = slot.instruments.push_timer.time(|| state.push(stat));
+    let alarms = slot.instruments.push_timer.time(|| state.push(stat, records));
     slot.instruments.alarms.add(alarms.len() as u64);
     alarms
 }
@@ -443,18 +460,23 @@ impl DetectorBank {
         self.supervision = supervision;
     }
 
-    /// Feed one closed window's summary to every detector; returns the
-    /// merged alarms (usually empty or one), in window order.
+    /// Feed one closed window's summary and records to every detector;
+    /// returns the merged alarms (usually empty or one), in window
+    /// order.
     ///
     /// A slot whose push panics contributes no alarms for this window;
     /// its state is rebuilt fresh from the registry builder and the
     /// remaining slots run normally — one bad detector cannot take the
     /// ensemble down.
-    pub fn push(&mut self, stat: &IntervalStat) -> Vec<EnsembleAlarm> {
+    pub fn push(
+        &mut self,
+        stat: &IntervalStat,
+        records: &dyn IntervalRecords,
+    ) -> Vec<EnsembleAlarm> {
         // Concatenate every slot's alarms in bank order, then merge.
         let mut raised: Vec<Alarm> = Vec::new();
         for slot in &mut self.slots {
-            match catch_unwind(AssertUnwindSafe(|| run_slot(slot, stat))) {
+            match catch_unwind(AssertUnwindSafe(|| run_slot(slot, stat, records))) {
                 Ok(alarms) => raised.extend(alarms),
                 Err(_) => {
                     self.supervision.worker_panics.inc();
@@ -468,7 +490,7 @@ impl DetectorBank {
 
     /// Feed one closed window; returns the merged alarms it raised.
     pub fn push_window(&mut self, window: &ClosedWindow) -> Vec<EnsembleAlarm> {
-        self.push(&window.stat)
+        self.push(&window.stat, &window.records)
     }
 
     /// One alarm out of the window's sources; see [`AlarmMerger::merge`].
@@ -555,7 +577,7 @@ type DetectResult = Result<Vec<Vec<Alarm>>, WorkerPoisoned>;
 /// concatenating seat results in seat order always restores bank
 /// order).
 struct Seat {
-    task_tx: Sender<Arc<IntervalStat>>,
+    task_tx: Sender<Arc<ClosedWindow>>,
     result_rx: Receiver<DetectResult>,
     join: Option<std::thread::JoinHandle<()>>,
     start: usize,
@@ -568,8 +590,8 @@ fn spawn_detect_seat(
     worker: usize,
     capacity: usize,
     faults: Arc<ActiveFaults>,
-) -> (Sender<Arc<IntervalStat>>, Receiver<DetectResult>, std::thread::JoinHandle<()>) {
-    let (task_tx, task_rx) = bounded::<Arc<IntervalStat>>(capacity.max(1));
+) -> (Sender<Arc<ClosedWindow>>, Receiver<DetectResult>, std::thread::JoinHandle<()>) {
+    let (task_tx, task_rx) = bounded::<Arc<ClosedWindow>>(capacity.max(1));
     let (result_tx, result_rx) = unbounded::<DetectResult>();
     let join = std::thread::Builder::new()
         .name(format!("anomex-detect-{worker}"))
@@ -588,16 +610,19 @@ fn spawn_detect_seat(
 fn pool_worker(
     mut slots: Vec<BankSlot>,
     worker: usize,
-    tasks: Receiver<Arc<IntervalStat>>,
+    tasks: Receiver<Arc<ClosedWindow>>,
     results: Sender<DetectResult>,
     faults: Arc<ActiveFaults>,
 ) {
-    while let Ok(stat) = tasks.recv() {
+    while let Ok(window) = tasks.recv() {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if faults.fire(FaultSite::DetectorPanic(worker)) {
                 panic!("fault-inject: detector worker panic");
             }
-            slots.iter_mut().map(|slot| run_slot(slot, &stat)).collect::<Vec<Vec<Alarm>>>()
+            slots
+                .iter_mut()
+                .map(|slot| run_slot(slot, &window.stat, &window.records))
+                .collect::<Vec<Vec<Alarm>>>()
         }));
         match outcome {
             Ok(per_slot) => {
@@ -620,11 +645,12 @@ fn pool_worker(
 /// across a small worker pool ([`DetectorBank::into_pool`]).
 ///
 /// Every closed window is broadcast to all workers as one shared
-/// summary; each worker runs its detectors in slot order; the control
-/// side reassembles the per-slot alarms in bank order and runs the
-/// same deterministic merge the sequential bank runs — so the output
-/// (merged ids included) is bit-identical to [`DetectorBank::push`]
-/// over the same window sequence, whatever the worker scheduling.
+/// window (summary plus an `Arc` snapshot of its records); each worker
+/// runs its detectors in slot order; the control side reassembles the
+/// per-slot alarms in bank order and runs the same deterministic merge
+/// the sequential bank runs — so the output (merged ids included) is
+/// bit-identical to [`DetectorBank::push_window`] over the same window
+/// sequence, whatever the worker scheduling.
 ///
 /// Deadlock freedom: task channels are bounded (`queue_depth` windows
 /// per worker) but result channels are unbounded, so a worker can
@@ -657,7 +683,7 @@ pub struct DetectorPool {
     restarts: u32,
     /// Windows dispatched and not yet collected, oldest first. The
     /// recovery path re-feeds this entire backlog to a restarted seat.
-    pending: VecDeque<Arc<IntervalStat>>,
+    pending: VecDeque<Arc<ClosedWindow>>,
     /// Pre-computed answers produced while replaying the backlog
     /// during failover; [`collect`](DetectorPool::collect) serves these
     /// before touching seats.
@@ -705,8 +731,9 @@ impl DetectorPool {
             .collect()
     }
 
-    /// Broadcast one window summary to every worker without waiting
-    /// for verdicts; pair with [`collect`](DetectorPool::collect).
+    /// Broadcast one window to every worker without waiting for
+    /// verdicts; pair with [`collect`](DetectorPool::collect). The
+    /// records travel as an `Arc`-segment snapshot, never copied.
     /// Dispatching a run of windows ahead of collecting is what lets
     /// detector pushes overlap the control thread's merge/extract
     /// work. Blocks when a worker is `queue_depth` windows behind.
@@ -715,16 +742,16 @@ impl DetectorPool {
     /// is detected and recovered in [`collect`](DetectorPool::collect),
     /// which re-feeds the backlog (this window included) to the
     /// restarted seat.
-    pub fn dispatch(&mut self, stat: &IntervalStat) {
+    pub fn dispatch(&mut self, window: &ClosedWindow) {
         if let Some(bank) = &mut self.inline {
-            let merged = bank.push(stat);
+            let merged = bank.push_window(window);
             self.ready.push_back(merged);
             return;
         }
-        let stat = Arc::new(stat.clone());
-        self.pending.push_back(Arc::clone(&stat));
+        let window = Arc::new(window.clone());
+        self.pending.push_back(Arc::clone(&window));
         for seat in &self.seats {
-            let _ = seat.task_tx.send(Arc::clone(&stat));
+            let _ = seat.task_tx.send(Arc::clone(&window));
         }
     }
 
@@ -806,8 +833,8 @@ impl DetectorPool {
         let capacity = self.queue_depth_cfg.max(self.pending.len()).max(1);
         let (task_tx, result_rx, join) =
             spawn_detect_seat(chunk, worker, capacity, self.supervision.faults.clone());
-        for stat in &self.pending {
-            let _ = task_tx.send(Arc::clone(stat));
+        for window in &self.pending {
+            let _ = task_tx.send(Arc::clone(window));
         }
         let seat = &mut self.seats[i];
         seat.task_tx = task_tx;
@@ -844,22 +871,17 @@ impl DetectorPool {
             merger: std::mem::take(&mut self.merger),
             supervision: self.supervision.clone(),
         };
-        for stat in self.pending.drain(..) {
-            self.ready.push_back(bank.push(&stat));
+        for window in self.pending.drain(..) {
+            self.ready.push_back(bank.push_window(&window));
         }
         self.inline = Some(bank);
     }
 
     /// Dispatch + collect in one call — the drop-in equivalent of
-    /// [`DetectorBank::push`].
-    pub fn push(&mut self, stat: &IntervalStat) -> Vec<EnsembleAlarm> {
-        self.dispatch(stat);
-        self.collect()
-    }
-
-    /// Feed one closed window; returns the merged alarms it raised.
+    /// [`DetectorBank::push_window`].
     pub fn push_window(&mut self, window: &ClosedWindow) -> Vec<EnsembleAlarm> {
-        self.push(&window.stat)
+        self.dispatch(window);
+        self.collect()
     }
 
     /// Windows queued to workers and not yet picked up, summed across
@@ -894,11 +916,12 @@ mod tests {
     use anomex_flow::store::TimeRange;
     use std::net::Ipv4Addr;
 
-    fn scan_stat(range: TimeRange, benign: u32, scan: u32) -> IntervalStat {
-        let mut stat = IntervalStat::empty(range);
+    fn scan_window(index: u64, benign: u32, scan: u32) -> ClosedWindow {
+        let range = TimeRange::new(index * 1_000, (index + 1) * 1_000);
+        let mut records = Vec::new();
         for i in 0..benign {
-            stat.add(
-                &FlowRecord::builder()
+            records.push(
+                FlowRecord::builder()
                     .time(range.from_ms + i as u64, range.from_ms + i as u64 + 5)
                     .src(Ipv4Addr::from(0x0A00_0000 + (i % 30)), 1_024 + (i % 400) as u16)
                     .dst(Ipv4Addr::from(0xAC10_0000 + (i % 5)), 80)
@@ -907,8 +930,8 @@ mod tests {
             );
         }
         for p in 1..=scan {
-            stat.add(
-                &FlowRecord::builder()
+            records.push(
+                FlowRecord::builder()
                     .time(range.from_ms + p as u64 % 1_000, range.from_ms + p as u64 % 1_000 + 1)
                     .src("10.66.66.66".parse().unwrap(), 55_548)
                     .dst("172.16.0.99".parse().unwrap(), p as u16)
@@ -916,24 +939,25 @@ mod tests {
                     .build(),
             );
         }
-        stat
+        let mut stat = IntervalStat::empty(range);
+        records.iter().for_each(|r| stat.add(r));
+        ClosedWindow { index, range, stat, records: records.into() }
     }
 
-    fn feed_stats(windows: u64, scan_in_last: bool) -> Vec<IntervalStat> {
+    fn feed_windows(windows: u64, scan_in_last: bool) -> Vec<ClosedWindow> {
         (0..windows)
             .map(|t| {
-                let range = TimeRange::new(t * 1_000, (t + 1) * 1_000);
                 let scan = if scan_in_last && t == windows - 1 { 1_200 } else { 0 };
                 // Wobble the benign load so PCA's training variance is
                 // non-degenerate.
                 let benign = 150 + (t % 4) as u32 * 13;
-                scan_stat(range, benign, scan)
+                scan_window(t, benign, scan)
             })
             .collect()
     }
 
     fn feed(bank: &mut DetectorBank, windows: u64, scan_in_last: bool) -> Vec<EnsembleAlarm> {
-        feed_stats(windows, scan_in_last).iter().flat_map(|stat| bank.push(stat)).collect()
+        feed_windows(windows, scan_in_last).iter().flat_map(|w| bank.push_window(w)).collect()
     }
 
     #[test]
@@ -998,7 +1022,7 @@ mod tests {
             fn interval_ms(&self) -> u64 {
                 1_000
             }
-            fn push(&mut self, stat: &IntervalStat) -> Vec<Alarm> {
+            fn push(&mut self, stat: &IntervalStat, _: &dyn IntervalRecords) -> Vec<Alarm> {
                 let alarm = Alarm::new(self.next_id, self.name(), stat.range);
                 self.next_id += 1;
                 vec![alarm]
@@ -1056,7 +1080,7 @@ mod tests {
         fn interval_ms(&self) -> u64 {
             1_000
         }
-        fn push(&mut self, stat: &IntervalStat) -> Vec<Alarm> {
+        fn push(&mut self, stat: &IntervalStat, _: &dyn IntervalRecords) -> Vec<Alarm> {
             let alarm = Alarm::new(self.next_id, self.name(), stat.range);
             self.next_id += 1;
             vec![alarm]
@@ -1084,13 +1108,13 @@ mod tests {
             "scan window must exercise a cross-detector merge"
         );
 
-        let stats = feed_stats(12, true);
+        let windows = feed_windows(12, true);
         for workers in [1usize, 2, 3, 8] {
             let mut pool = registry.build_bank().into_pool(workers, 4);
             assert_eq!(pool.workers(), workers.min(3), "pool clamps to the detector count");
             assert_eq!(pool.len(), 3);
             let merged: Vec<EnsembleAlarm> =
-                stats.iter().flat_map(|stat| pool.push(stat)).collect();
+                windows.iter().flat_map(|w| pool.push_window(w)).collect();
             assert_eq!(merged, expected, "{workers} workers diverged from sequential");
             assert_eq!(pool.counters(), sequential.counters(), "{workers} workers");
         }
@@ -1104,18 +1128,18 @@ mod tests {
     fn pool_dispatch_ahead_preserves_window_order() {
         let mut registry = DetectorRegistry::new();
         registry.register("chatty", 1_000, || Box::new(Chatty { next_id: 0 }));
-        let stats = feed_stats(6, false);
+        let windows = feed_windows(6, false);
 
         let mut reference = registry.build_bank();
         let expected: Vec<EnsembleAlarm> =
-            stats.iter().flat_map(|stat| reference.push(stat)).collect();
+            windows.iter().flat_map(|w| reference.push_window(w)).collect();
 
-        let mut pool = registry.build_bank().into_pool(2, stats.len());
-        for stat in &stats {
-            pool.dispatch(stat);
+        let mut pool = registry.build_bank().into_pool(2, windows.len());
+        for window in &windows {
+            pool.dispatch(window);
         }
         let mut merged = Vec::new();
-        for _ in &stats {
+        for _ in &windows {
             merged.extend(pool.collect());
         }
         assert_eq!(merged, expected);
@@ -1138,7 +1162,7 @@ mod tests {
             fn interval_ms(&self) -> u64 {
                 1_000
             }
-            fn push(&mut self, _stat: &IntervalStat) -> Vec<Alarm> {
+            fn push(&mut self, _: &IntervalStat, _: &dyn IntervalRecords) -> Vec<Alarm> {
                 Vec::new()
             }
         }
@@ -1169,7 +1193,7 @@ mod tests {
         fn interval_ms(&self) -> u64 {
             1_000
         }
-        fn push(&mut self, stat: &IntervalStat) -> Vec<Alarm> {
+        fn push(&mut self, stat: &IntervalStat, _: &dyn IntervalRecords) -> Vec<Alarm> {
             let n = self.pushes.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
             assert!(n != self.panic_at, "flaky detector panics on push {n}");
             vec![Alarm::new(n, self.name(), stat.range)]
@@ -1233,14 +1257,13 @@ mod injected {
         }
     }
 
-    fn stats(windows: u64) -> Vec<IntervalStat> {
-        (0..windows)
+    fn windows(count: u64) -> Vec<ClosedWindow> {
+        (0..count)
             .map(|t| {
                 let range = TimeRange::new(t * 1_000, (t + 1) * 1_000);
-                let mut stat = IntervalStat::empty(range);
-                for i in 0..(120 + (t % 3) as u32 * 7) {
-                    stat.add(
-                        &FlowRecord::builder()
+                let records: Vec<FlowRecord> = (0..(120 + (t % 3) as u32 * 7))
+                    .map(|i| {
+                        FlowRecord::builder()
                             .time(range.from_ms + i as u64, range.from_ms + i as u64 + 5)
                             .src(
                                 std::net::Ipv4Addr::from(0x0A00_0000 + (i % 30)),
@@ -1248,10 +1271,12 @@ mod injected {
                             )
                             .dst(std::net::Ipv4Addr::from(0xAC10_0000 + (i % 5)), 80)
                             .volume(2, 1_000)
-                            .build(),
-                    );
-                }
-                stat
+                            .build()
+                    })
+                    .collect();
+                let mut stat = IntervalStat::empty(range);
+                records.iter().for_each(|r| stat.add(r));
+                ClosedWindow { index: t, range, stat, records: records.into() }
             })
             .collect()
     }
@@ -1277,7 +1302,8 @@ mod injected {
         let plan = FaultPlan::new().once(FaultSite::DetectorPanic(0), 2);
         let (mut pool, sup) = pool_with(&plan, 2);
         assert_eq!(pool.workers(), 2);
-        let merged: Vec<Vec<EnsembleAlarm>> = stats(6).iter().map(|stat| pool.push(stat)).collect();
+        let merged: Vec<Vec<EnsembleAlarm>> =
+            windows(6).iter().map(|w| pool.push_window(w)).collect();
         assert_eq!(merged.len(), 6, "every dispatched window collected");
         assert_eq!(sup.worker_panics.get(), 1);
         assert_eq!(sup.restarts.get(), 1);
@@ -1293,7 +1319,8 @@ mod injected {
     fn exhausted_seat_budget_fails_over_to_inline_bank() {
         let plan = FaultPlan::new().repeat_from(FaultSite::DetectorPanic(0), 1);
         let (mut pool, sup) = pool_with(&plan, 2);
-        let merged: Vec<Vec<EnsembleAlarm>> = stats(6).iter().map(|stat| pool.push(stat)).collect();
+        let merged: Vec<Vec<EnsembleAlarm>> =
+            windows(6).iter().map(|w| pool.push_window(w)).collect();
         assert_eq!(merged.len(), 6, "failover replays the backlog; no window is lost");
         assert!(pool.is_degraded());
         assert_eq!(pool.workers(), 0, "all seats torn down");
@@ -1302,7 +1329,7 @@ mod injected {
         assert_eq!(sup.restarts.get(), MAX_POOL_RESTARTS as u64);
         assert_eq!(sup.worker_panics.get(), (MAX_POOL_RESTARTS + 1) as u64);
         // Dispatch keeps working inline after failover.
-        let more = pool.push(&stats(7)[6]);
+        let more = pool.push_window(&windows(7)[6]);
         let _ = more;
     }
 }

@@ -234,13 +234,18 @@ pub struct ShardShed {
 }
 
 impl StreamConfig {
-    /// The tumbling-window grid the configuration implies.
+    /// The tumbling-window grid the configuration implies, with the
+    /// window summary its detectors read.
     ///
     /// # Panics
     /// Panics when the detector registry is empty or its entries
     /// disagree on the detection interval.
     pub fn window_config(&self) -> WindowConfig {
-        WindowConfig { width_ms: self.detectors.interval_ms(), span: self.span }
+        WindowConfig {
+            width_ms: self.detectors.interval_ms(),
+            span: self.span,
+            summary: self.detectors.summary(),
+        }
     }
 }
 
@@ -629,7 +634,7 @@ fn control_loop(
             // first verdict: the workers chew on windows w+1.. while
             // the control thread merges and mines window w.
             for window in &closed {
-                pool.dispatch(&window.stat);
+                pool.dispatch(window);
             }
             if metrics.timing() {
                 metrics.detect_pool_queue_depth.set(pool.queue_depth() as u64);
@@ -789,6 +794,8 @@ fn control_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::DetectorSpec;
+    use anomex_detect::interval::SummarySpec;
     use anomex_detect::kl::KlConfig;
     use anomex_flow::v5;
     use std::net::Ipv4Addr;
@@ -865,6 +872,82 @@ mod tests {
             "scanner missing from top itemset: {}",
             extraction.itemsets[0].pattern()
         );
+    }
+
+    /// The summaries the pipeline's windows carry, seen from inside the
+    /// bank: a probe detector that declares it reads volumes only
+    /// records the [`SummarySpec`] of every window it is pushed.
+    fn window_specs(mut detectors: DetectorRegistry) -> (Vec<SummarySpec>, StreamStats) {
+        use anomex_detect::alarm::Alarm;
+        use anomex_detect::detector::Detector;
+        use anomex_detect::interval::{IntervalRecords, IntervalStat};
+        use std::sync::Mutex;
+
+        struct Probe(Arc<Mutex<Vec<SummarySpec>>>);
+        impl Detector for Probe {
+            fn name(&self) -> &str {
+                "probe"
+            }
+            fn interval_ms(&self) -> u64 {
+                60_000
+            }
+            fn summary(&self) -> SummarySpec {
+                SummarySpec::VOLUMES
+            }
+            fn push(&mut self, stat: &IntervalStat, _: &dyn IntervalRecords) -> Vec<Alarm> {
+                self.0.lock().unwrap().push(stat.spec());
+                Vec::new()
+            }
+        }
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let shared = Arc::clone(&seen);
+        detectors.register("probe", 60_000, move || Box::new(Probe(Arc::clone(&shared))));
+        let (mut ingest, reports) = launch(StreamConfig { detectors, ..scan_config(2) });
+        ingest.push_batch(trace());
+        let stats = ingest.finish();
+        drop(reports);
+        let specs = seen.lock().unwrap().clone();
+        (specs, stats)
+    }
+
+    #[test]
+    fn kl_only_pipeline_windows_keep_bin_counts_and_no_value_maps() {
+        let kl = KlConfig { interval_ms: 60_000, ..KlConfig::default() };
+        let (specs, stats) = window_specs(DetectorRegistry::kl(kl));
+        assert_eq!(specs.len(), 8);
+        assert!(specs.iter().all(|&s| s == SummarySpec::bins(7)), "{specs:?}");
+        assert_eq!(stats.alarms, 1, "KL still flags the scan from bin counts");
+        assert_eq!(stats.reports, 1);
+
+        let pca = anomex_detect::pca::PcaConfig { interval_ms: 60_000, ..Default::default() };
+        let (specs, _) = window_specs(DetectorRegistry::from_specs(&[
+            DetectorSpec::Kl(kl),
+            DetectorSpec::Pca(pca, 8),
+        ]));
+        assert_eq!(specs.len(), 8);
+        assert!(
+            specs.iter().all(|&s| s == SummarySpec { bins_log2: 7, exact: true }),
+            "an entropy detector gets the exact maps: {specs:?}"
+        );
+    }
+
+    #[test]
+    fn registered_kl_gets_the_bins_its_state_declares() {
+        use anomex_detect::kl::KlOnline;
+        let kl = KlConfig { interval_ms: 60_000, bins_log2: 10, ..KlConfig::default() };
+        let mut detectors = DetectorRegistry::new();
+        detectors.register("kl", 60_000, move || Box::new(KlOnline::new(kl)));
+        assert_eq!(detectors.summary(), SummarySpec::bins(10));
+        let config = StreamConfig { detectors, ..scan_config(2) };
+        assert_eq!(config.window_config().summary, SummarySpec::bins(10));
+
+        let (mut ingest, reports) = launch(config);
+        ingest.push_batch(trace());
+        let stats = ingest.finish();
+        let received: Vec<StreamReport> = reports.iter().collect();
+        assert_eq!(stats.health.worker_panics, 0, "every window carries the 10-bit counts");
+        assert_eq!(stats.alarms, 1, "the 10-bit KL flags the scan");
+        assert_eq!(received[0].alarm().unwrap().window.from_ms, 7 * 60_000);
     }
 
     #[test]

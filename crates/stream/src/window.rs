@@ -10,11 +10,16 @@
 //! of how shard messages interleave, because a window is only emitted
 //! once every shard's watermark frontier has passed it and partials are
 //! always folded in shard order.
+//!
+//! What each window's summary keeps is the [`WindowConfig::summary`]
+//! the detector registry declares: with the default KL-only ensemble
+//! that is fixed per-feature bin counts, so a record costs four array
+//! increments on its shard and a cross-shard merge is a vector add.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use anomex_detect::interval::IntervalStat;
+use anomex_detect::interval::{IntervalRecords, IntervalStat, SummarySpec};
 use anomex_flow::record::FlowRecord;
 use anomex_flow::store::TimeRange;
 
@@ -29,6 +34,10 @@ pub struct WindowConfig {
     /// pipeline's `IntervalSeries::cut`. When `None` the grid is
     /// anchored at epoch 0 and runs open-ended.
     pub span: Option<TimeRange>,
+    /// What every window summary keeps: the union of what the
+    /// registered detectors read
+    /// (`DetectorRegistry::summary`).
+    pub summary: SummarySpec,
 }
 
 impl WindowConfig {
@@ -140,7 +149,7 @@ impl ShardWindows {
         }
         let config = &self.config;
         let slot = self.open.entry(index).or_insert_with(|| OpenWindow {
-            stat: IntervalStat::empty(config.range_of(index)),
+            stat: IntervalStat::new(config.range_of(index), config.summary),
             records: Vec::new(),
         });
         slot.stat.add(&record);
@@ -237,6 +246,12 @@ impl WindowRecords {
     /// Materialize one contiguous vector (tests and batch comparisons).
     pub fn to_vec(&self) -> Vec<FlowRecord> {
         self.iter().cloned().collect()
+    }
+}
+
+impl IntervalRecords for WindowRecords {
+    fn for_each_record(&self, visit: &mut dyn FnMut(&FlowRecord)) {
+        self.iter().for_each(visit);
     }
 }
 
@@ -408,9 +423,11 @@ impl WindowManager {
             // Move the first occupied partial instead of merging it
             // into an empty summary: for single-shard pipelines (and
             // any window only one shard touched) the whole window —
-            // distribution maps and record segment — transfers without
-            // copying a single entry. Additional shards contribute
-            // their segment by Arc move, never by record copy.
+            // bin counts (and exact maps, when kept) plus the record
+            // segment — transfers without copying. Each further shard
+            // adds its bin counts (a fixed-size vector add, whatever
+            // the traffic's diversity) and contributes its segment by
+            // Arc move, never by record copy.
             let mut merged: Option<(IntervalStat, WindowRecords)> = None;
             if let Some(slots) = self.pending.remove(&idx) {
                 for shard in slots.into_iter().flatten() {
@@ -426,8 +443,9 @@ impl WindowManager {
                     }
                 }
             }
-            let (stat, records) =
-                merged.unwrap_or_else(|| (IntervalStat::empty(range), WindowRecords::new()));
+            let (stat, records) = merged.unwrap_or_else(|| {
+                (IntervalStat::new(range, self.config.summary), WindowRecords::new())
+            });
             out.push(ClosedWindow { index: idx, range, stat, records });
             idx += 1;
         }
@@ -451,7 +469,11 @@ mod tests {
     }
 
     fn bounded(width: u64, span_ms: u64) -> WindowConfig {
-        WindowConfig { width_ms: width, span: Some(TimeRange::new(0, span_ms)) }
+        WindowConfig {
+            width_ms: width,
+            span: Some(TimeRange::new(0, span_ms)),
+            summary: SummarySpec::default(),
+        }
     }
 
     #[test]
@@ -491,7 +513,11 @@ mod tests {
         assert_eq!(sw.out_of_span(), 2);
         let mut anchored = ShardWindows::new(
             0,
-            WindowConfig { width_ms: 100, span: Some(TimeRange::new(500, 900)) },
+            WindowConfig {
+                width_ms: 100,
+                span: Some(TimeRange::new(500, 900)),
+                summary: SummarySpec::default(),
+            },
         );
         assert!(!anchored.push(rec(400, 3)), "before span origin");
         assert_eq!(anchored.out_of_span(), 1);
@@ -639,6 +665,31 @@ mod tests {
     }
 
     #[test]
+    fn bins_only_windows_merge_to_the_unsharded_summary() {
+        let config = WindowConfig {
+            width_ms: 100,
+            span: Some(TimeRange::new(0, 200)),
+            summary: SummarySpec::bins(7),
+        };
+        let mut shards = [ShardWindows::new(0, config), ShardWindows::new(1, config)];
+        let mut whole = IntervalStat::new(config.range_of(0), config.summary);
+        for salt in 0..60u32 {
+            let r = rec(salt as u64, salt);
+            whole.add(&r);
+            shards[(salt % 2) as usize].push(r);
+        }
+        let mut manager = WindowManager::new(2, config);
+        for (i, shard) in shards.iter_mut().enumerate() {
+            manager.stage(i, u64::MAX, shard.flush());
+        }
+        let windows = manager.drain();
+        assert_eq!(windows.len(), 2);
+        assert_eq!(windows[0].stat, whole);
+        assert!(windows[0].stat.dists().is_none(), "no per-value maps were kept");
+        assert_eq!(windows[1].stat.spec(), config.summary, "gap windows keep the spec too");
+    }
+
+    #[test]
     fn manager_waits_for_slowest_shard() {
         let config = bounded(100, 500);
         let mut manager = WindowManager::new(2, config);
@@ -656,7 +707,7 @@ mod tests {
 
     #[test]
     fn open_ended_stream_starts_at_first_occupied_window() {
-        let config = WindowConfig { width_ms: 100, span: None };
+        let config = WindowConfig { width_ms: 100, span: None, summary: SummarySpec::default() };
         let mut manager = WindowManager::new(1, config);
         let mut sw = ShardWindows::new(0, config);
         sw.push(rec(720, 1)); // window 7
@@ -672,7 +723,8 @@ mod tests {
     #[test]
     fn clipped_last_window_matches_batch_intervals() {
         let span = TimeRange::new(0, 250);
-        let config = WindowConfig { width_ms: 100, span: Some(span) };
+        let config =
+            WindowConfig { width_ms: 100, span: Some(span), summary: SummarySpec::default() };
         assert_eq!(config.window_count(), Some(3));
         let batch = span.intervals(100);
         for (i, expected) in batch.iter().enumerate() {

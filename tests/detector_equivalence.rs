@@ -64,10 +64,15 @@ proptest! {
             ..KlConfig::default()
         };
         let mut batch = KlDetector::new(config);
-        let batch_alarms = batch.detect_series(&series);
+        let batch_alarms = batch.detect_series(&series, &flows);
         let mut online = KlOnline::new(config);
-        let online_alarms: Vec<Alarm> =
-            series.intervals.iter().filter_map(|stat| online.push(stat)).collect();
+        let records = series.records(&flows);
+        let online_alarms: Vec<Alarm> = series
+            .intervals
+            .iter()
+            .enumerate()
+            .filter_map(|(t, stat)| online.push(stat, &records.interval(t)))
+            .collect();
         prop_assert_eq!(batch_alarms, online_alarms);
     }
 
